@@ -880,11 +880,13 @@ def _cmd_perf(args) -> int:
         print(f"wrote {profile_path}")
     rows = [
         (name, f"{r.value:,.1f}", r.unit, r.n,
-         "-" if r.peak_mb is None else f"{r.peak_mb:,.1f}", r.seed)
+         "-" if r.peak_mb is None else f"{r.peak_mb:,.1f}", r.seed,
+         " ".join(f"{key}={value:g}" for key, value in (r.counts or {}).items())
+         or "-")
         for name, r in sorted(results.items())
     ]
     print(format_table(
-        ("Bench", "Value", "Unit", "N", "Peak MiB", "Seed"),
+        ("Bench", "Value", "Unit", "N", "Peak MiB", "Seed", "Counts"),
         rows,
         title="Hot-path microbenchmarks" + (" (quick)" if args.quick else ""),
     ))

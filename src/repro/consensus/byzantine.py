@@ -51,7 +51,7 @@ class EquivocatingLeaderNode(ProtocolNode):
         twin = self._twins.get(height)
         if own is None or twin is None:
             return own
-        yield from self.cpu.consume(self.scheme.cost_sign())
+        yield self.cpu.consume(self.scheme.cost_sign())
         twin_vote = self.scheme.new(
             self.keypair, vote_value(phase, view, height, twin.hash)
         )

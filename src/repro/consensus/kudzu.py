@@ -139,7 +139,7 @@ class KudzuProtocol(HotStuffProtocol):
             or qc.is_genesis
         ):
             return None
-        yield from node.cpu.consume(node.scheme.cost_verify_collection(qc.collection))
+        yield node.cpu.consume(node.scheme.cost_verify_collection(qc.collection))
         if not qc.verify(fast_quorum):
             return None
         return qc

@@ -130,7 +130,7 @@ class PbftNode:
         from repro.core.node import CLIENT_TX_TAG
 
         while True:
-            msg = yield from self.endpoint.receive(CLIENT_TX_TAG)
+            msg = yield self.endpoint.receive(CLIENT_TX_TAG)
             if isinstance(msg.payload, list):
                 self.workload.ingest(msg.payload)
 
@@ -223,7 +223,7 @@ class PbftNode:
                 self.store.add(block)
             size = block.payload_size + PROPOSAL_OVERHEAD
             payload = (block, self.store.get(block.parent))
-            yield from self.cpu.consume(self.scheme.cost_sign())
+            yield self.cpu.consume(self.scheme.cost_sign())
             for peer in range(self.n):
                 if peer != self.node_id:
                     self.network.send(
@@ -249,7 +249,7 @@ class PbftNode:
         collected = {self.node_id}
         best: Optional[Block] = self._last_prepared
         while len(collected) < self.quorum:
-            msg = yield from self.endpoint.receive(_viewchange_tag(view))
+            msg = yield self.endpoint.receive(_viewchange_tag(view))
             if msg.src in collected:
                 continue
             payload = msg.payload
@@ -286,7 +286,7 @@ class PbftNode:
     def _preprepare_pump(self, view: int):
         primary = self.policy.leader_of(view)
         while True:
-            msg = yield from self.endpoint.receive(
+            msg = yield self.endpoint.receive(
                 _preprepare_tag(view), match=lambda m: m.src == primary
             )
             if not (isinstance(msg.payload, tuple) and len(msg.payload) == 2):
@@ -367,7 +367,7 @@ class PbftNode:
         )
         if slot not in self._voted:
             self._voted.add(slot)
-            yield from self.cpu.consume(self.scheme.cost_sign())
+            yield self.cpu.consume(self.scheme.cost_sign())
             own = self.scheme.new(self.keypair, value)
             size = own.wire_size()
             for peer in range(self.n):
@@ -380,7 +380,7 @@ class PbftNode:
             remaining = deadline - self.sim.now
             if remaining <= 0:
                 return False
-            msg = yield from self.endpoint.receive(tag, timeout=remaining)
+            msg = yield self.endpoint.receive(tag, timeout=remaining)
             from repro.sim.process import TIMEOUT
 
             if msg is TIMEOUT:
@@ -389,7 +389,7 @@ class PbftNode:
             if msg.src in votes:
                 continue
             try:
-                yield from self.cpu.consume(self.scheme.cost_verify_share())
+                yield self.cpu.consume(self.scheme.cost_verify_share())
                 if partial.has(value, 1) and msg.src in partial.signers_for(value):
                     votes.add(msg.src)
             except AttributeError:

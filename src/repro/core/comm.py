@@ -92,7 +92,7 @@ class TreeComm:
         if self.parent is None:
             raise ValueError("the root has no parent")
         parent = self.parent
-        msg = yield from self._endpoint.receive(
+        msg = yield self._endpoint.receive(
             tag, timeout=timeout, match=lambda m: m.src == parent
         )
         if msg is TIMEOUT:
@@ -163,7 +163,7 @@ class TreeComm:
         for child in self.children:
             deadline = start + base_bound * self._child_depth_factor[child]
             bound = max(0.0, deadline - self.sim.now)
-            msg = yield from self._endpoint.receive(
+            msg = yield self._endpoint.receive(
                 tag, timeout=bound, match=lambda m, c=child: m.src == c
             )
             if msg is TIMEOUT:
@@ -171,8 +171,8 @@ class TreeComm:
             partial = msg.payload
             if not isinstance(partial, Collection):
                 continue  # Byzantine garbage in place of a collection
-            yield from cpu.consume(scheme.cost_verify_share())
-            yield from cpu.consume(scheme.cost_combine(1))
+            # Validate, then ⊕-merge: two CPU jobs, one resumption.
+            yield cpu.consume(scheme.cost_verify_share(), scheme.cost_combine(1))
             try:
                 collection = collection.combine(partial)
             except CryptoError:

@@ -257,7 +257,7 @@ class SmrNode:
         if admit is None:
             admit = getattr(self.workload, "admit", None)
         while True:
-            msg = yield from self.endpoint.receive(CLIENT_TX_TAG)
+            msg = yield self.endpoint.receive(CLIENT_TX_TAG)
             if isinstance(msg.payload, list):
                 if admit is not None:
                     admit(msg.payload, self.sim.now)
@@ -409,7 +409,7 @@ class SmrNode:
         high = self.safety.high_prepare_qc
         collected = {self.node_id}
         while len(collected) < self.newview_quorum:
-            msg = yield from self.endpoint.receive(self.protocol.newview_tag(view))
+            msg = yield self.endpoint.receive(self.protocol.newview_tag(view))
             if msg.src in collected:
                 continue
             payload = msg.payload
@@ -419,7 +419,7 @@ class SmrNode:
             if not isinstance(qc, QuorumCert):
                 continue
             if not qc.is_genesis:
-                yield from self.cpu.consume(
+                yield self.cpu.consume(
                     self.scheme.cost_verify_collection(qc.collection)
                 )
                 if not self.protocol.verify_justify(self, qc):
@@ -478,7 +478,7 @@ class SmrNode:
         if block.view != view or block.proposer != self.tree.root:
             return False
         if not justify.is_genesis:
-            yield from self.cpu.consume(
+            yield self.cpu.consume(
                 self.scheme.cost_verify_collection(justify.collection)
             )
             if not self.protocol.verify_justify(self, justify):
@@ -561,7 +561,7 @@ class SmrNode:
         if not can_vote or not self.safety.may_vote(view, height, phase):
             return None
         self.safety.record_vote(view, height, phase)
-        yield from self.cpu.consume(self.scheme.cost_sign())
+        yield self.cpu.consume(self.scheme.cost_sign())
         return self.scheme.new(
             self.keypair, vote_value(phase, view, height, block.hash)
         )
@@ -605,7 +605,7 @@ class SmrNode:
             or qc.is_genesis
         ):
             return None
-        yield from self.cpu.consume(self.scheme.cost_verify_collection(qc.collection))
+        yield self.cpu.consume(self.scheme.cost_verify_collection(qc.collection))
         if not qc.verify(self.quorum):
             return None
         return qc

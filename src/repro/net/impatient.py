@@ -60,7 +60,7 @@ class ImpatientChannel:
 
     def receive(self, tag: Hashable):
         """Coroutine (Algorithm 1): the peer's value, or ⊥ after Δ."""
-        result = yield from self._endpoint.receive(
+        result = yield self._endpoint.receive(
             tag, timeout=self.delta, match=self._from_peer
         )
         if result is TIMEOUT:

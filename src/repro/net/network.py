@@ -3,8 +3,8 @@
 ``Network.send`` charges the sender's NIC (serialization at the pair's
 bandwidth), adds the pair's propagation delay, consults the fault injector,
 and delivers into the destination :class:`Endpoint`. Endpoints hand
-messages to blocked ``receive`` coroutines by tag (and optional sender
-filter), queueing unclaimed messages per tag.
+messages straight to tasks blocked in ``receive`` by tag (and optional
+sender filter), queueing unclaimed messages per tag.
 
 Delivered-but-stale traffic is garbage collected by tag prefix when a view
 ends (:meth:`Endpoint.purge`), mirroring a real implementation discarding
@@ -22,12 +22,54 @@ from repro.net.message import Message
 from repro.net.netem import Netem
 from repro.net.nic import Nic
 from repro.sim.engine import Simulator
-from repro.sim.process import TIMEOUT, Signal, WaitSignal
+from repro.sim.process import PARKED, TIMEOUT, Task, WaitRequest
 
 #: Fixed per-message framing overhead (TCP/IP + protocol header), bytes.
 HEADER_BYTES = 64
 
 MatchFn = Callable[[Message], bool]
+#: A blocked receive: ``(match, task, token)``. The entry is live while the
+#: task is still parked with ``token``; once the task times out, is
+#: cancelled or finishes, the token moves on and the entry is dead.
+Waiter = Tuple[Optional[MatchFn], Task, int]
+
+
+class Receive(WaitRequest):
+    """Wait request built by :meth:`Endpoint.receive`."""
+
+    __slots__ = ("endpoint", "tag", "timeout", "match")
+
+    def __init__(
+        self,
+        endpoint: "Endpoint",
+        tag: Hashable,
+        timeout: Optional[float],
+        match: Optional[MatchFn],
+    ):
+        self.endpoint = endpoint
+        self.tag = tag
+        self.timeout = timeout
+        self.match = match
+
+    def _park(self, task: Task, token: int) -> Any:
+        endpoint = self.endpoint
+        tag = self.tag
+        msg = endpoint.try_receive(tag, self.match)
+        if msg is not None:
+            return msg
+        entry = (self.match, task, token)
+        waiters = endpoint._waiters.get(tag)
+        if waiters is None:
+            endpoint._waiters[tag] = [entry]
+        else:
+            waiters.append(entry)
+        if self.timeout is not None:
+            # Receive deadlines are overwhelmingly cancelled (the message
+            # arrives first), so they park in the timer wheel.
+            task._pending_timer = endpoint.sim.schedule_timeout(
+                self.timeout, endpoint._expire, tag, entry
+            )
+        return PARKED
 
 
 class Endpoint:
@@ -42,7 +84,7 @@ class Endpoint:
         self.sim = sim
         self.node_id = node_id
         self._inbox: Dict[Hashable, Deque[Message]] = {}
-        self._waiters: Dict[Hashable, List[Tuple[Optional[MatchFn], Signal]]] = {}
+        self._waiters: Dict[Hashable, List[Waiter]] = {}
         self.messages_delivered = 0
         self.bytes_delivered = 0
         #: Live count of queued (delivered-but-unclaimed) messages, and its
@@ -55,23 +97,23 @@ class Endpoint:
     def deliver(self, msg: Message) -> None:
         """Fabric hook: hand ``msg`` to a blocked receiver or queue it.
 
-        Fired-signal entries (waiters whose timeout or cancellation already
-        resolved but whose owning coroutine has not yet run its ``finally``)
-        are pruned during the scan, so hot tags under deep pipelining don't
-        accumulate dead waiters between deliveries.
+        Dead entries (see :data:`Waiter`: the receiver timed out, was
+        cancelled or finished) are skipped and pruned during the scan, so
+        a cancelled receiver never swallows a message and hot tags under
+        deep pipelining don't accumulate dead waiters between deliveries.
         """
         self.messages_delivered += 1
         self.bytes_delivered += msg.size
         waiters = self._waiters.get(msg.tag)
-        consumer = None
         if waiters:
+            consumer = None
             live = []
             for entry in waiters:
-                match, signal = entry
-                if signal.fired:
+                match, task, token = entry
+                if task._wait_token != token:
                     continue  # dead waiter: prune instead of skipping
                 if consumer is None and (match is None or match(msg)):
-                    consumer = signal
+                    consumer = entry
                     continue  # consumed: drop the entry now
                 live.append(entry)
             if live:
@@ -79,7 +121,7 @@ class Endpoint:
             else:
                 del self._waiters[msg.tag]
             if consumer is not None:
-                consumer.fire(msg)
+                self.sim.schedule_now(consumer[1]._step, consumer[2], msg)
                 return
         self._inbox.setdefault(msg.tag, deque()).append(msg)
         self._queued += 1
@@ -119,32 +161,29 @@ class Endpoint:
         tag: Hashable,
         timeout: Optional[float] = None,
         match: Optional[MatchFn] = None,
-    ):
-        """Coroutine: block until a message tagged ``tag`` arrives.
+    ) -> Receive:
+        """Wait request: block until a message tagged ``tag`` arrives.
 
-        Returns the :class:`Message`, or :data:`~repro.sim.TIMEOUT` if
-        ``timeout`` elapses first. ``match`` filters candidates (e.g. by
-        sender). Cancellation-safe: a cancelled receiver never consumes a
-        message.
+        ``msg = yield endpoint.receive(tag)`` evaluates to the
+        :class:`Message`, or :data:`~repro.sim.TIMEOUT` if ``timeout``
+        elapses first. ``match`` filters candidates (e.g. by sender). A
+        queued match resumes the task at once, without an event.
+        Cancellation-safe: a cancelled receiver never consumes a message.
         """
-        msg = self.try_receive(tag, match)
-        if msg is not None:
-            return msg
-        signal = Signal()
-        entry = (match, signal)
-        self._waiters.setdefault(tag, []).append(entry)
-        try:
-            result = yield WaitSignal(signal, timeout)
-        finally:
-            waiters = self._waiters.get(tag)
-            if waiters is not None:
-                try:
-                    waiters.remove(entry)
-                except ValueError:
-                    pass
-                if not waiters:
-                    del self._waiters[tag]
-        return result  # Message or TIMEOUT
+        return Receive(self, tag, timeout, match)
+
+    def _expire(self, tag: Hashable, entry: Waiter) -> None:
+        """Event: a receive deadline passed; withdraw the entry, wake the
+        task with :data:`~repro.sim.TIMEOUT`."""
+        waiters = self._waiters.get(tag)
+        if waiters is not None:
+            try:
+                waiters.remove(entry)
+            except ValueError:
+                pass  # already consumed by a same-instant delivery
+            if not waiters:
+                del self._waiters[tag]
+        entry[1]._step(entry[2], TIMEOUT)
 
     # ------------------------------------------------------------------
     def purge(self, predicate: Callable[[Hashable], bool]) -> int:
@@ -152,10 +191,10 @@ class Endpoint:
 
         Returns the number of messages discarded. Live waiters are left
         alone (their owning tasks are cancelled separately on view change),
-        but dead entries -- waiters whose signal already resolved, lingering
-        until their coroutine's ``finally`` runs -- are pruned for purged
-        tags, mirroring :meth:`deliver`. A view change would otherwise
-        leave them behind forever on tags no message will touch again.
+        but dead entries (see :data:`Waiter`) are pruned for purged tags,
+        mirroring :meth:`deliver`. A view change would otherwise leave the
+        entries of its cancelled receivers behind forever on tags no
+        message will touch again.
         """
         doomed = [tag for tag in self._inbox if predicate(tag)]
         dropped = 0
@@ -163,7 +202,10 @@ class Endpoint:
             dropped += len(self._inbox.pop(tag))
         self._queued -= dropped
         for tag in [tag for tag in self._waiters if predicate(tag)]:
-            live = [entry for entry in self._waiters[tag] if not entry[1].fired]
+            live = [
+                entry for entry in self._waiters[tag]
+                if entry[1]._wait_token == entry[2]
+            ]
             if live:
                 self._waiters[tag][:] = live
             else:

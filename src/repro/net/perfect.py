@@ -130,7 +130,7 @@ class ReliableLink:
         def data_loop():
             endpoint = self.network.endpoint(self.dst)
             while True:
-                msg = yield from endpoint.receive(
+                msg = yield endpoint.receive(
                     (_DATA, self.stream, self.src, self.dst)
                 )
                 self._on_data(msg)
@@ -138,7 +138,7 @@ class ReliableLink:
         def ack_loop():
             endpoint = self.network.endpoint(self.src)
             while True:
-                msg = yield from endpoint.receive(
+                msg = yield endpoint.receive(
                     (_ACK, self.stream, self.src, self.dst)
                 )
                 self._on_ack(msg)

@@ -2,7 +2,8 @@
 
 ``repro perf`` times the paths that dominate wall-clock in large
 sweeps -- the event heap, cryptographic aggregation, the fabric
-multicast fast path, and full Kauri runs up to N = 400 -- and writes
+multicast fast path, the task layer's CPU and receive waits, and full
+Kauri runs up to N = 1000 -- and writes
 ``BENCH_core.json`` so the numbers accumulate across PRs and CI can
 fail on regressions (see ``benchmarks/perf/``).
 """
@@ -16,6 +17,7 @@ from repro.perf.micro import (
     bench_end_to_end,
     bench_event_loop,
     bench_multicast_fanout,
+    bench_process_layer,
     compare_to_baseline,
     load_results,
     run_benches,
@@ -31,6 +33,7 @@ __all__ = [
     "bench_end_to_end",
     "bench_event_loop",
     "bench_multicast_fanout",
+    "bench_process_layer",
     "compare_to_baseline",
     "load_results",
     "run_benches",

@@ -16,6 +16,12 @@ structurally central (§3.3.2, §7):
   ``Network.multicast`` -- the fabric fast path that replaces one
   closure-per-child serialization chaining with a single batched pass
   over the sender's NIC.
+- ``process_layer``: generator resumptions per second of wall clock for
+  M tasks sharing one CPU, each looping over Algorithm 3's two waits --
+  a tagged receive (with a sender filter) and a contended verify+combine
+  CPU request -- fed by a plain callback, so no fabric work is timed. It
+  also records the exact events fired per CPU job (``counts``), the
+  plumbing cost per unit of modelled work. Not guarded in CI.
 - ``end_to_end_kauri``: committed blocks per second of *wall* clock for
   one complete Kauri deployment (N = 31, global scenario), plus
   ``end_to_end_kauri_n100`` / ``end_to_end_kauri_n400`` at the paper's
@@ -35,7 +41,7 @@ measures the code rather than the machine.
 Results are written as ``BENCH_core.json`` in a stable schema::
 
     {bench_name: {"value": float, "unit": str, "n": int, "seed": int,
-                  "peak_mb": float | null}}
+                  "peak_mb": float | null, "counts": {str: float} | null}}
 
 so the trajectory accumulates across PRs; ``compare_to_baseline`` is
 the CI hook that fails a run whose event-loop throughput regressed --
@@ -53,7 +59,7 @@ import tracemalloc
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence
 
-BENCH_SCHEMA_NOTE = "{bench_name: {value, unit, n, seed, peak_mb}}"
+BENCH_SCHEMA_NOTE = "{bench_name: {value, unit, n, seed, peak_mb, counts}}"
 
 
 @dataclass(frozen=True)
@@ -63,6 +69,8 @@ class BenchResult:
     ``peak_mb`` -- peak traced heap (MiB) over one untimed pass of the
     same workload -- is recorded only by benches where the footprint is
     the point (the large-N end-to-end runs); ``None`` elsewhere.
+    ``counts`` holds deterministic work counts (identical on every
+    machine) for benches that record them; ``None`` elsewhere.
     """
 
     value: float
@@ -70,6 +78,7 @@ class BenchResult:
     n: int
     seed: int
     peak_mb: Optional[float] = None
+    counts: Optional[Dict[str, float]] = None
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +214,66 @@ def bench_multicast_fanout(
             raise AssertionError("multicast bench lost messages")
         best = max(best, net.messages_delivered / elapsed)
     return BenchResult(best, "msgs/s", fanout, seed)
+
+
+def bench_process_layer(
+    tasks: int = 64,
+    rounds: int = 200,
+    seed: int = 0,
+    repeats: int = 3,
+) -> BenchResult:
+    """Generator resumptions per wall-clock second on the vote path's waits.
+
+    ``tasks`` tasks share one :class:`~repro.sim.cpu.Cpu` and one
+    endpoint. Every round a feeder callback delivers one tagged message
+    per task at once; each task receives its own (sender filter, as in
+    ``TreeComm.wait_for``) and then runs a verify+combine two-job CPU
+    request. The feed period leaves the CPU ~90% busy, so every round
+    queues up to ``tasks`` jobs behind each other and most receives
+    block. ``counts`` records the exact events fired per CPU job.
+    """
+    from repro.net.message import Message
+    from repro.net.network import Endpoint
+    from repro.sim.cpu import Cpu
+    from repro.sim.engine import Simulator
+    from repro.sim.process import spawn
+
+    verify, combine = 5e-4, 5e-5
+    period = tasks * (verify + combine) / 0.9
+    best = 0.0
+    events_per_job = 0.0
+    for rep in range(repeats):
+        sim = Simulator(seed=seed + rep)
+        cpu = Cpu(sim)
+        endpoint = Endpoint(sim, 0)
+
+        def worker(me: int):
+            for round_no in range(rounds):
+                yield endpoint.receive(
+                    ("vote", round_no), match=lambda m, me=me: m.src == me
+                )
+                yield cpu.consume(verify, combine)
+
+        def feed(round_no: int) -> None:
+            for src in range(tasks):
+                endpoint.deliver(Message(src, 0, ("vote", round_no), None, 0))
+
+        for me in range(tasks):
+            spawn(sim, worker(me))
+        for round_no in range(rounds):
+            sim.schedule_call(round_no * period, feed, round_no)
+        start = time.perf_counter()
+        sim.run()
+        elapsed = time.perf_counter() - start
+        if cpu.jobs_completed != 2 * tasks * rounds:
+            raise AssertionError("process-layer bench lost CPU jobs")
+        # Each of the two yields per round resumes its generator once.
+        best = max(best, 2 * tasks * rounds / elapsed)
+        events_per_job = sim.events_processed / cpu.jobs_completed
+    return BenchResult(
+        best, "resumptions/s", tasks, seed,
+        counts={"events_per_job": round(events_per_job, 4)},
+    )
 
 
 def bench_end_to_end(
@@ -374,6 +443,7 @@ def run_benches(
     rounds_100 = 3 if quick else 8
     rounds_400 = 1 if quick else 3
     mcast_rounds = 40 if quick else 200
+    process_rounds = 50 if quick else 200
     commits = 10 if quick else 30
     commits_100 = 5 if quick else 15
     # Not shrunk for --quick: the first instance at N=400/N=1000 pays the
@@ -402,6 +472,9 @@ def run_benches(
         ),
         "multicast_fanout": lambda: bench_multicast_fanout(
             rounds=mcast_rounds, seed=seed, repeats=repeats
+        ),
+        "process_layer": lambda: bench_process_layer(
+            rounds=process_rounds, seed=seed, repeats=repeats
         ),
         "end_to_end_kauri": lambda: bench_end_to_end(
             max_commits=commits, seed=seed, repeats=repeats

@@ -4,10 +4,11 @@ The kernel provides:
 
 - :class:`~repro.sim.engine.Simulator` -- an event heap with a virtual clock.
 - :class:`~repro.sim.process.Task` -- generator-based coroutines ("simulated
-  processes") that suspend on :class:`~repro.sim.process.Sleep` and
-  :class:`~repro.sim.process.WaitSignal`.
-- :class:`~repro.sim.cpu.Cpu` -- a FIFO busy-server modelling one core of
-  compute per replica (used to charge cryptographic processing time).
+  processes") that suspend on wait requests such as
+  :class:`~repro.sim.process.Sleep` and :class:`~repro.sim.process.WaitSignal`.
+- :class:`~repro.sim.cpu.Cpu` -- one core of compute per replica (used to
+  charge cryptographic processing time); ``cpu.consume(cost)`` is a
+  :class:`~repro.sim.cpu.CpuJob` wait request.
 - :class:`~repro.sim.timers.Timer` -- restartable one-shot timers (used by
   the consensus pacemaker).
 
@@ -18,7 +19,7 @@ monotonically increasing sequence number, never by object identity.
 
 from repro.sim.engine import EventHandle, Simulator
 from repro.sim.process import TIMEOUT, Signal, Sleep, Task, WaitSignal
-from repro.sim.cpu import Cpu
+from repro.sim.cpu import Cpu, CpuJob
 from repro.sim.timers import Timer
 
 __all__ = [
@@ -30,5 +31,6 @@ __all__ = [
     "WaitSignal",
     "TIMEOUT",
     "Cpu",
+    "CpuJob",
     "Timer",
 ]

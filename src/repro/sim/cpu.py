@@ -1,4 +1,4 @@
-"""Single-core CPU resource with FIFO queueing.
+"""Single-core CPU resource with queued arrivals.
 
 Each replica owns one :class:`Cpu`. Cryptographic work (signing, verifying,
 aggregating) is charged to the CPU via :meth:`Cpu.consume`, so concurrent
@@ -7,10 +7,26 @@ as they would on one core of the paper's testbed machines. Utilization is
 tracked so experiments can flag CPU-saturated data points (the paper marks
 these with red circles).
 
+A job is a :class:`CpuJob` wait request: the yielding task is parked on the
+CPU itself, which acquires, runs and releases the job without resuming the
+task's generator in between. Grants follow this order:
+
+1. A job that finds the CPU idle takes it at once -- including the
+   releasing task's own back-to-back job, and same-instant arrivals that
+   were scheduled before the release's contest.
+2. A release with live waiters schedules one *contest* event at the
+   current instant. It replays the waiters queued at release time in
+   arrival order: the first one still waiting takes the CPU if it is idle,
+   the others re-queue behind whatever arrived in between.
+
+That is exactly what a broadcast wake-up of every waiter (one event each,
+consecutive in the event order, each losing waiter re-queueing) produced,
+at the cost of one event per release instead of one per waiter.
+
 Busy time is checkpointed as a sorted list of coalesced ``[start, end)``
 intervals, so :meth:`busy_in` -- and therefore :meth:`utilization` over an
 arbitrary measurement window -- is exact: a job straddling the window edge
-contributes only its in-window part, a job cancelled mid-``Sleep`` still
+contributes only its in-window part, a job cancelled mid-run still
 contributes the compute it performed before dying, and the job running
 right now contributes up to the current instant. Back-to-back jobs merge
 into one interval, so a saturated CPU costs O(1) memory however many jobs
@@ -21,23 +37,56 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
-from typing import Deque, Generator, List, Optional
+from typing import Any, Deque, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.engine import Simulator
-from repro.sim.process import Signal, Sleep, WaitSignal
+from repro.sim.process import PARKED, Task, WaitRequest
+
+
+class CpuJob(WaitRequest):
+    """Wait request: run ``costs`` (seconds each) back to back on ``cpu``.
+
+    The task resumes once, after the last job. Between two jobs the CPU is
+    released and immediately re-taken, so each still counts (and contends)
+    as a job of its own. Zero-cost jobs are skipped; a request with no
+    work left resumes the task at once, without queueing or any event.
+    """
+
+    __slots__ = ("cpu", "costs", "index")
+
+    def __init__(self, cpu: "Cpu", costs: Tuple[float, ...]):
+        for cost in costs:
+            if cost < 0:
+                raise SimulationError(f"negative CPU time: {cost}")
+        if 0.0 in costs:
+            costs = tuple(cost for cost in costs if cost)
+        self.cpu = cpu
+        self.costs = costs
+        self.index = 0
+
+    def _park(self, task: Task, token: int) -> Any:
+        if not self.costs:
+            return None
+        cpu = self.cpu
+        task._job = self
+        if cpu._holder is None:
+            cpu._start(task, token)
+        else:
+            cpu._queue.append((task, token))
+        return PARKED
 
 
 class Cpu:
-    """FIFO busy-server: one unit of work at a time, queued arrivals.
+    """One core: one job at a time, queued arrivals (see the module doc).
 
     Coroutine usage::
 
-        yield from node.cpu.consume(cost_model.bls_verify)
+        yield node.cpu.consume(cost_model.bls_verify)
     """
 
     __slots__ = (
-        "sim", "name", "_busy", "_busy_since", "_queue",
+        "sim", "name", "_holder", "_busy_since", "_queue",
         "_interval_starts", "_interval_ends", "busy_time",
         "jobs_completed", "jobs_cancelled", "_created_at",
     )
@@ -45,9 +94,13 @@ class Cpu:
     def __init__(self, sim: Simulator, name: str = "cpu"):
         self.sim = sim
         self.name = name
-        self._busy = False
+        #: The task whose job is running, or None when idle.
+        self._holder: Optional[Task] = None
         self._busy_since: Optional[float] = None
-        self._queue: Deque[Signal] = deque()
+        #: Waiting ``(task, token)`` entries in arrival order. An entry
+        #: whose task was cancelled goes stale (token mismatch) and is
+        #: dropped at the next release, as a broadcast wake-up would.
+        self._queue: Deque[Tuple[Task, int]] = deque()
         #: Coalesced, time-sorted busy intervals; parallel lists so window
         #: queries can bisect the end times directly.
         self._interval_starts: List[float] = []
@@ -57,42 +110,73 @@ class Cpu:
         self.jobs_cancelled = 0
         self._created_at = sim.now
 
-    def consume(self, seconds: float) -> Generator:
-        """Occupy the CPU for ``seconds`` of simulated compute time.
+    def consume(self, *costs: float) -> CpuJob:
+        """Wait request occupying the CPU for each of ``costs`` in turn.
 
         Zero-cost work returns immediately without queueing, so disabled
         cost models add no events.
         """
-        if seconds < 0:
-            raise SimulationError(f"negative CPU time: {seconds}")
-        if seconds == 0.0:
-            return
-        # Acquire: loop because wakeups are broadcast and a same-instant
-        # arrival may win the race; losers simply re-queue. The broadcast
-        # (rather than hand-off) makes the queue robust to waiters that
-        # were cancelled while waiting.
-        while self._busy:
-            turn = Signal()
-            self._queue.append(turn)
-            yield WaitSignal(turn)
-        self._busy = True
+        return CpuJob(self, costs)
+
+    def _start(self, task: Task, token: int) -> None:
+        job = task._job
+        self._holder = task
         self._busy_since = self.sim.now
-        completed = False
-        try:
-            yield Sleep(seconds)
-            completed = True
+        task._pending_timer = self.sim.schedule(
+            job.costs[job.index], self._complete, task, token
+        )
+
+    def _complete(self, task: Task, token: int) -> None:
+        """Event: the holder's current job finished."""
+        job = task._job
+        task._pending_timer = None
+        self._release(completed=True)
+        job.index += 1
+        if job.index < len(job.costs):
+            self._start(task, token)
+        else:
+            task._job = None
+            task._step(token)
+
+    def _withdraw(self, task: Task) -> None:
+        """``task`` is being thrown into (cancelled) while queued or running.
+
+        A running job frees the CPU now, charged its partial busy time; a
+        queued entry simply goes stale.
+        """
+        task._job = None
+        if self._holder is task:
+            self._release(completed=False)
+
+    def _release(self, completed: bool) -> None:
+        # Checkpoint the busy span up to *now*: the full cost on normal
+        # completion, the partial cost when cancelled mid-job.
+        self._record_busy(self._busy_since, self.sim.now)
+        if completed:
             self.jobs_completed += 1
-        finally:
-            # Checkpoint the busy span up to *now*: the full cost on normal
-            # completion, the partial cost when cancelled mid-Sleep.
-            self._record_busy(self._busy_since, self.sim.now)
-            if not completed:
-                self.jobs_cancelled += 1
-            self._busy = False
-            self._busy_since = None
-            waiters, self._queue = self._queue, deque()
-            for turn in waiters:
-                turn.fire_if_unfired()
+        else:
+            self.jobs_cancelled += 1
+        self._holder = None
+        self._busy_since = None
+        waiters = self._queue
+        if waiters:
+            self._queue = deque()
+            for task, token in waiters:
+                if task._wait_token == token:
+                    self.sim.schedule_now(self._contest, waiters)
+                    break
+
+    def _contest(self, waiters: Deque[Tuple[Task, int]]) -> None:
+        """Event: replay the waiters of one release in arrival order."""
+        queue = self._queue
+        for entry in waiters:
+            task, token = entry
+            if task._wait_token != token:
+                continue  # cancelled while queued
+            if self._holder is None:
+                self._start(task, token)
+            else:
+                queue.append(entry)
 
     def _record_busy(self, start: float, end: float) -> None:
         if end <= start:
@@ -115,7 +199,7 @@ class Cpu:
 
     @property
     def busy(self) -> bool:
-        return self._busy
+        return self._holder is not None
 
     def busy_in(self, start: float, end: float) -> float:
         """Exact busy seconds inside the half-open window ``[start, end)``.
@@ -158,4 +242,4 @@ class Cpu:
         return self.busy_in(lo, hi) / elapsed
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Cpu({self.name!r}, busy={self._busy}, queued={len(self._queue)})"
+        return f"Cpu({self.name!r}, busy={self.busy}, queued={len(self._queue)})"

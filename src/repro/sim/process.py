@@ -7,8 +7,20 @@ A task is a Python generator that suspends by yielding *wait requests*:
   the value the signal was fired with.
 - ``yield WaitSignal(signal, timeout=d)`` -- same, but evaluates to the
   sentinel :data:`TIMEOUT` if the signal has not fired within ``d`` seconds.
+- ``yield cpu.consume(cost)`` -- run ``cost`` seconds of work on a
+  :class:`~repro.sim.cpu.Cpu` (see :class:`~repro.sim.cpu.CpuJob`).
+- ``yield endpoint.receive(tag)`` -- block for a tagged message (see
+  :meth:`repro.net.network.Endpoint.receive`).
 - ``yield other_task`` -- join: resume when the task finishes; evaluates to
   its return value (re-raising its exception, if any).
+
+Every request is a :class:`WaitRequest`: the task hands itself to the
+request, which arranges the wake-up directly -- a CPU job is acquired, run
+and released without resuming the generator in between, and a receive is
+registered with the endpoint, which hands the message straight to the task.
+A request whose result is already available (a queued message, zero-cost
+work) resumes the generator synchronously, without an event. Requests are
+also iterable, so ``yield from request`` works as well as ``yield request``.
 
 Sub-coroutines compose with plain ``yield from``; their ``return`` value is
 the expression value, exactly like real coroutines. This lets the paper's
@@ -42,7 +54,29 @@ class _Timeout:
 TIMEOUT = _Timeout()
 
 
-class Sleep:
+#: What a request's ``_park`` returns when the task must wait.
+PARKED = object()
+
+
+class WaitRequest:
+    """Base class of everything a task may yield.
+
+    ``_park(task, token)`` either arranges for ``task._step(token, value)``
+    to run when the wait ends and returns :data:`PARKED`, or returns the
+    result at once (the task then resumes without an event).
+    """
+
+    __slots__ = ()
+
+    def _park(self, task: "Task", token: int) -> Any:
+        raise NotImplementedError
+
+    def __iter__(self) -> Generator:
+        # ``yield from request``: suspend on it, evaluate to its result.
+        return (yield self)
+
+
+class Sleep(WaitRequest):
     """Wait request: suspend for a fixed simulated duration."""
 
     __slots__ = ("duration",)
@@ -51,6 +85,10 @@ class Sleep:
         if duration < 0:
             raise SimulationError(f"negative sleep: {duration}")
         self.duration = duration
+
+    def _park(self, task: "Task", token: int) -> Any:
+        task._pending_timer = task.sim.schedule(self.duration, task._step, token)
+        return PARKED
 
 
 class Signal:
@@ -99,7 +137,7 @@ class Signal:
         return unsubscribe
 
 
-class WaitSignal:
+class WaitSignal(WaitRequest):
     """Wait request: suspend until ``signal`` fires or ``timeout`` elapses."""
 
     __slots__ = ("signal", "timeout")
@@ -110,17 +148,36 @@ class WaitSignal:
         self.signal = signal
         self.timeout = timeout
 
+    def _park(self, task: "Task", token: int) -> Any:
+        signal = self.signal
+        sim = task.sim
+        if signal.fired:
+            sim.schedule_now(task._step, token, signal.value)
+            return PARKED
+        task._pending_unsub = signal.add_waiter(
+            lambda value: sim.schedule_now(task._step, token, value)
+        )
+        if self.timeout is not None:
+            # Deadlines are overwhelmingly cancelled (the signal fires
+            # first), so they park in the timer wheel.
+            task._pending_timer = sim.schedule_timeout(
+                self.timeout, task._step, token, TIMEOUT
+            )
+        return PARKED
 
-WaitRequest = Union[Sleep, WaitSignal, "Task"]
 
-
-class Task:
+class Task(WaitRequest):
     """Driver wrapping a generator into a simulated process.
 
     Created via :func:`spawn` (or ``Task(sim, gen)`` directly). The task
     starts on the next simulator event at the current time, never
     synchronously inside the spawner -- this keeps traces deterministic and
     independent of Python evaluation order.
+
+    :meth:`_step` is the only place the generator is resumed. Every wake-up
+    carries the ``token`` the task was parked with; a wake-up whose token
+    is no longer current (a signal racing its timeout, a cancelled wait) is
+    stale and ignored.
     """
 
     __slots__ = (
@@ -135,6 +192,7 @@ class Task:
         "_pending_timer",
         "_pending_unsub",
         "_wait_token",
+        "_job",
     )
 
     def __init__(self, sim: Simulator, gen: Generator, name: str = "task"):
@@ -151,84 +209,75 @@ class Task:
         self._pending_timer: Optional[Union[EventHandle, TimeoutHandle]] = None
         self._pending_unsub: Optional[Callable[[], None]] = None
         self._wait_token = 0
-        sim.schedule_now(self._step, self._wait_token, "send", None)
+        #: The CPU job this task is queued for or running (see sim.cpu).
+        self._job: Any = None
+        sim.schedule_now(self._step, self._wait_token)
 
     # ------------------------------------------------------------------
     def _clear_wait(self) -> None:
-        if self._pending_timer is not None:
-            self._pending_timer.cancel()
+        timer = self._pending_timer
+        if timer is not None:
             self._pending_timer = None
+            timer.cancel()
         if self._pending_unsub is not None:
             self._pending_unsub()
             self._pending_unsub = None
 
-    def _step(self, token: int, mode: str, payload: Any) -> None:
-        """Resume the generator with a value ("send") or exception ("throw")."""
-        if self.done or token != self._wait_token:
-            return  # stale wakeup (race between signal and timeout)
-        self._wait_token += 1
-        self._clear_wait()
-        try:
-            if mode == "send":
-                request = self._gen.send(payload)
-            else:
-                request = self._gen.throw(payload)
-        except StopIteration as stop:
-            self._finish(result=stop.value)
-            return
-        except TaskCancelled:
-            self.cancelled = True
-            self._finish(result=None)
-            return
-        except BaseException as exc:  # noqa: BLE001 - recorded and re-raised at join
-            self._finish(exception=exc)
-            if self.sim.strict:
-                raise
-            self.sim.failures.append(exc)
-            return
-        self._install_wait(request)
-
-    def _install_wait(self, request: WaitRequest) -> None:
-        token = self._wait_token
-        if isinstance(request, Sleep):
-            self._pending_timer = self.sim.schedule(
-                request.duration, self._step, token, "send", None
-            )
-        elif isinstance(request, WaitSignal):
-            self._install_signal_wait(request.signal, request.timeout, token)
-        elif isinstance(request, Task):
-            self._install_join(request, token)
-        else:
-            err = SimulationError(f"task {self.name!r} yielded {request!r}")
-            self.sim.schedule_now(self._step, token, "throw", err)
-
-    def _install_signal_wait(
-        self, signal: Signal, timeout: Optional[float], token: int
+    def _step(
+        self, token: int, value: Any = None, exc: Optional[BaseException] = None
     ) -> None:
-        if signal.fired:
-            self.sim.schedule_now(self._step, token, "send", signal.value)
-            return
-        self._pending_unsub = signal.add_waiter(
-            lambda value: self.sim.schedule_now(self._step, token, "send", value)
-        )
-        if timeout is not None:
-            # Receive deadlines are overwhelmingly cancelled (the signal
-            # fires first), so they park in the timer wheel.
-            self._pending_timer = self.sim.schedule_timeout(
-                timeout, self._step, token, "send", TIMEOUT
-            )
+        """Resume the generator with ``value``, or throw ``exc`` into it."""
+        if token != self._wait_token or self.done:
+            return  # stale wakeup (race between signal and timeout)
+        token += 1
+        self._wait_token = token
+        self._clear_wait()
+        if self._job is not None:
+            # Thrown into mid-job (cancellation): hand the CPU back first.
+            self._job.cpu._withdraw(self)
+        gen = self._gen
+        while True:
+            try:
+                if exc is None:
+                    request = gen.send(value)
+                else:
+                    request = gen.throw(exc)
+            except StopIteration as stop:
+                self._finish(result=stop.value)
+                return
+            except TaskCancelled:
+                self.cancelled = True
+                self._finish(result=None)
+                return
+            except BaseException as err:  # noqa: BLE001 - recorded and re-raised at join
+                self._finish(exception=err)
+                if self.sim.strict:
+                    raise
+                self.sim.failures.append(err)
+                return
+            if not isinstance(request, WaitRequest):
+                err = SimulationError(f"task {self.name!r} yielded {request!r}")
+                self.sim.schedule_now(self._step, token, None, err)
+                return
+            value = request._park(self, token)
+            if value is PARKED:
+                return
+            exc = None  # result already available: resume at once
 
-    def _install_join(self, other: "Task", token: int) -> None:
+    def _park(self, task: "Task", token: int) -> Any:
+        """Join request: wake ``task`` once this task finishes."""
+
         def wake(_value: Any) -> None:
-            if other.exception is not None:
-                self.sim.schedule_now(self._step, token, "throw", other.exception)
+            if self.exception is not None:
+                task.sim.schedule_now(task._step, token, None, self.exception)
             else:
-                self.sim.schedule_now(self._step, token, "send", other.result)
+                task.sim.schedule_now(task._step, token, self.result)
 
-        if other.done:
+        if self.done:
             wake(None)
         else:
-            self._pending_unsub = other._done_signal.add_waiter(wake)
+            task._pending_unsub = self._done_signal.add_waiter(wake)
+        return PARKED
 
     def _finish(
         self, result: Any = None, exception: Optional[BaseException] = None
@@ -251,7 +300,7 @@ class Task:
         self._clear_wait()
         self._wait_token += 1  # invalidate any in-flight wakeups
         self.sim.schedule_now(
-            self._step, self._wait_token, "throw", TaskCancelled(self.name)
+            self._step, self._wait_token, None, TaskCancelled(self.name)
         )
 
     @property

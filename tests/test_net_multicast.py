@@ -23,7 +23,7 @@ from repro.net.network import Network
 from repro.net.trace import MessageTrace
 from repro.obs.report import build_report, report_json
 from repro.sim import Simulator
-from repro.sim.process import Signal, spawn
+from repro.sim.process import spawn
 from repro.topology.reconfig import swap_scenario
 
 # ---------------------------------------------------------------------------
@@ -270,49 +270,53 @@ class TestInvalidateLinks:
 
 
 class TestPurgePrunesDeadWaiters:
-    def test_dead_waiters_dropped_live_kept(self):
-        """Purging a tag prefix prunes waiter entries whose signal already
-        resolved (the same dead entries ``deliver`` prunes in its scan) but
-        leaves live waiters alone -- their tasks are cancelled separately.
-        """
+    @staticmethod
+    def _endpoint():
         sim = Simulator()
         net = Network(
             sim,
             HomogeneousNetem(NetworkParams("t", rtt=0.002, bandwidth_bps=1e9)),
         )
-        endpoint = net.register(1)
         net.register(0)
+        return sim, net.register(1)
 
-        def receiver(tag):
-            yield from endpoint.receive(tag)
+    @staticmethod
+    def _receiver(endpoint, tag):
+        yield endpoint.receive(tag)
 
-        spawn(sim, receiver(("view", 1, "vote")))
-        spawn(sim, receiver(("view", 2, "vote")))
-        sim.run(until=0.0005)  # both waiters registered and live
-        # A dead entry on the stale tag, exactly as the deliver/cancel race
-        # leaves one: its signal resolved, but the owning coroutine has not
-        # yet run the ``finally`` that would remove it.
-        dead = Signal()
-        dead.fire(None)
-        endpoint._waiters[("view", 1, "vote")].append((None, dead))
+    def test_dead_waiters_dropped_live_kept(self):
+        """Purging a tag prefix prunes waiter entries whose receiver is no
+        longer parked on them (the same dead entries ``deliver`` prunes in
+        its scan) but leaves live waiters alone -- their tasks are
+        cancelled separately.
+        """
+        sim, endpoint = self._endpoint()
+        live = spawn(sim, self._receiver(endpoint, ("view", 1, "vote")))
+        victim = spawn(sim, self._receiver(endpoint, ("view", 1, "vote")))
+        spawn(sim, self._receiver(endpoint, ("view", 2, "vote")))
+        sim.run(until=0.0005)  # all three waiters registered and live
+        # A cancelled receiver leaves a dead entry behind: nothing touches
+        # its tag again until a delivery or a purge prunes it.
+        victim.cancel()
+        sim.run(until=0.001)
+        assert victim.cancelled
         assert len(endpoint._waiters[("view", 1, "vote")]) == 2
 
         purged = endpoint.purge(lambda tag: tag[1] < 2)
         assert purged == 0  # no queued messages, only the dead waiter
         # Dead entry pruned; the live waiter on the purged tag is kept.
-        assert len(endpoint._waiters[("view", 1, "vote")]) == 1
-        assert not endpoint._waiters[("view", 1, "vote")][0][1].fired
+        entries = endpoint._waiters[("view", 1, "vote")]
+        assert len(entries) == 1
+        _match, task, token = entries[0]
+        assert task is live and task._wait_token == token
         assert ("view", 2, "vote") in endpoint._waiters  # untouched tag
 
     def test_fully_dead_tag_is_deleted(self):
-        sim = Simulator()
-        net = Network(
-            sim,
-            HomogeneousNetem(NetworkParams("t", rtt=0.002, bandwidth_bps=1e9)),
-        )
-        endpoint = net.register(1)
-        dead = Signal()
-        dead.fire(None)
-        endpoint._waiters[("view", 0, "vote")] = [(None, dead)]
+        sim, endpoint = self._endpoint()
+        victim = spawn(sim, self._receiver(endpoint, ("view", 0, "vote")))
+        sim.run(until=0.0005)
+        victim.cancel()
+        sim.run(until=0.001)
+        assert len(endpoint._waiters[("view", 0, "vote")]) == 1
         endpoint.purge(lambda tag: True)
         assert ("view", 0, "vote") not in endpoint._waiters

@@ -5,6 +5,7 @@ import pytest
 from repro.config import NetworkParams
 from repro.errors import NetworkError
 from repro.net import FaultInjector, HomogeneousNetem, Network
+from repro.net.message import Message
 from repro.net.network import HEADER_BYTES
 from repro.sim import TIMEOUT, Simulator
 from repro.sim.process import spawn
@@ -210,6 +211,35 @@ def test_cancelled_receiver_does_not_consume_message():
     sim.schedule(1.0, net.send, 0, 1, "t", "x", 10)
     sim.run()
     assert net.endpoint(1).queued_messages == 1  # message preserved
+
+
+def test_cancelled_receiver_does_not_swallow_same_instant_message():
+    """Regression: a message delivered after ``Task.cancel()`` but before
+    the thrown TaskCancelled runs must not go to the dying receiver (it
+    used to be counted as delivered, yet neither queued nor received, and
+    the next receiver timed out)."""
+    sim, net = make_network()
+    endpoint = net.endpoint(1)
+    got = []
+
+    def receiver():
+        got.append((yield endpoint.receive("t", timeout=5.0)))
+
+    victim = spawn(sim, receiver())
+    sim.run(until=1.0)
+
+    def cancel_then_deliver():
+        victim.cancel()
+        endpoint.deliver(Message(0, 1, "t", "x", 10))
+
+    sim.schedule(0.0, cancel_then_deliver)
+    sim.run(until=1.0)
+    assert victim.cancelled and got == []
+    assert endpoint.queued_messages == 1
+    spawn(sim, receiver())
+    sim.run()
+    assert [msg.payload for msg in got] == ["x"]
+    assert endpoint.messages_delivered == 1 and endpoint.queued_messages == 0
 
 
 def test_message_latency_recorded():
