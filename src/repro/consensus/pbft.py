@@ -43,7 +43,7 @@ from repro.crypto.signature import SignatureScheme
 from repro.net.network import Network
 from repro.sim.cpu import Cpu
 from repro.sim.engine import Simulator
-from repro.sim.process import Task, spawn
+from repro.sim.process import TIMEOUT, Task, spawn
 from repro.topology.reconfig import ReconfigurationPolicy
 from repro.topology.tree import Tree
 
@@ -369,10 +369,9 @@ class PbftNode:
             self._voted.add(slot)
             yield self.cpu.consume(self.scheme.cost_sign())
             own = self.scheme.new(self.keypair, value)
-            size = own.wire_size()
-            for peer in range(self.n):
-                if peer != self.node_id:
-                    self.network.send(self.node_id, peer, tag, own, size)
+            me = self.node_id
+            peers = (*range(me), *range(me + 1, self.n))
+            self.network.multicast(me, peers, tag, own, own.wire_size())
         votes: Set[int] = {self.node_id}
         bound = self.config.delta or self.model.suggested_delta()
         deadline = self.sim.now + bound
@@ -381,8 +380,6 @@ class PbftNode:
             if remaining <= 0:
                 return False
             msg = yield self.endpoint.receive(tag, timeout=remaining)
-            from repro.sim.process import TIMEOUT
-
             if msg is TIMEOUT:
                 return False
             partial = msg.payload

@@ -33,6 +33,10 @@ structurally central (§3.3.2, §7):
   record peak heap memory (``peak_mb``) from a separate *untimed*
   ``tracemalloc`` pass, because allocation tracing slows the traced run
   several-fold and must never contaminate the throughput number.
+- ``capacity_ingest``: offered client transactions per second of wall
+  clock at 2M txs/s against a bounded leader mempool (the ``repro
+  capacity`` client path), with peak heap; ``capacity_ingest_kv`` adds
+  the Zipf-keyed KV application on top.
 
 Each bench reports the best of ``repeats`` passes -- the standard
 microbench discipline: the minimum-interference pass is the one that
@@ -338,6 +342,7 @@ def bench_capacity_ingest(
     seed: int = 0,
     repeats: int = 2,
     measure_memory: bool = False,
+    kv: bool = False,
 ) -> BenchResult:
     """Offered client transactions ingested per second of wall clock.
 
@@ -357,7 +362,14 @@ def bench_capacity_ingest(
     ``measure_memory``, an untimed ``tracemalloc`` pass records
     ``peak_mb`` -- the number that pins the O(buckets) histogram claim:
     latency-accounting state must not scale with the offered count.
+
+    With ``kv`` the same deployment also runs the Zipf-keyed KV
+    application (``OpRegistry`` + ``attach_kv_application``), which is
+    what ``run_experiment(workload=...)`` and ``repro capacity`` run; its
+    ``peak_mb`` pins that KV writes are recorded per tick and built at
+    commit, not stored as one op per generated transaction.
     """
+    from repro.app.kvstore import OpRegistry, attach_kv_application
     from repro.config import ProtocolConfig
     from repro.runtime.cluster import Cluster
     from repro.runtime.workload import (
@@ -389,7 +401,9 @@ def bench_capacity_ingest(
             n=7, mode="kauri", scenario="national", config=config, seed=seed,
             workload_factory=make_workload_factory(spec, config),
         )
-        harness = WorkloadHarness(cluster, spec, seed=seed)
+        registry = OpRegistry() if kv else None
+        machines = attach_kv_application(cluster, registry) if kv else {}
+        harness = WorkloadHarness(cluster, spec, registry=registry, seed=seed)
         cluster.start()
         harness.start()
         start = time.perf_counter()
@@ -399,6 +413,8 @@ def bench_capacity_ingest(
         totals = summary["totals"]
         if totals["committed"] == 0:
             raise AssertionError("capacity-ingest bench committed nothing")
+        if not all(m.ops_applied for m in machines.values()):
+            raise AssertionError("capacity-ingest-kv bench applied no KV ops")
         if totals["generated"] < 0.9 * offered:
             raise AssertionError(
                 f"capacity-ingest bench under-generated: "
@@ -494,6 +510,10 @@ def run_benches(
             duration=ingest_duration, seed=seed,
             repeats=max(2, repeats - 1), measure_memory=True,
         ),
+        "capacity_ingest_kv": lambda: bench_capacity_ingest(
+            duration=ingest_duration, seed=seed,
+            repeats=max(2, repeats - 1), measure_memory=True, kv=True,
+        ),
     }
     if only is not None:
         unknown = set(only) - set(suite)
@@ -522,7 +542,8 @@ def load_results(path: str) -> Dict[str, BenchResult]:
 #: Benches CI gates on: the event loop, the fabric fast path, the
 #: large-N end-to-end numbers the scale-out work exists to protect, and
 #: the high-rate client ingest path (throughput and its O(buckets)
-#: latency-accounting memory, both budgeted).
+#: latency-accounting memory, both budgeted), with and without the KV
+#: application (whose memory budget pins per-tick op recording).
 GUARDED_BENCHES = (
     "event_loop",
     "multicast_fanout",
@@ -530,6 +551,7 @@ GUARDED_BENCHES = (
     "end_to_end_kauri_n400",
     "end_to_end_kauri_n1000",
     "capacity_ingest",
+    "capacity_ingest_kv",
 )
 
 

@@ -20,9 +20,12 @@ Measurement conventions (matching §7):
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.consensus.block import Block
@@ -162,12 +165,18 @@ class LatencyHistogram:
         mid = self.low * 2.0 ** ((index + 0.5) / self.buckets_per_octave)
         return min(max(mid, self.min), self.max)
 
-    def add(self, value: float) -> None:
+    def add(self, value: float, count: int = 1) -> None:
+        """Observe ``value`` ``count`` times (one tick run of equal
+        latencies at once). State is identical to ``count`` single adds:
+        ``total`` folds the value in one addition at a time, because
+        ``value * count`` rounds differently."""
+        if count < 1:
+            raise ValueError(f"count must be >= 1, got {count}")
+        self.total = reduce(operator.add, repeat(value, count), self.total)
         index = self._index(value)
         counts = self.counts
-        counts[index] = counts.get(index, 0) + 1
-        self.count += 1
-        self.total += value
+        counts[index] = counts.get(index, 0) + count
+        self.count += count
         if value < self.min:
             self.min = value
         if value > self.max:

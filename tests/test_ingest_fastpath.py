@@ -12,10 +12,13 @@ The load-bearing invariants pinned here:
   deferred_txs`` holds at every step across defer -> release cycles;
 * ``LatencyHistogram`` percentiles track the exact nearest-rank
   percentile within the documented relative-error bound, in O(buckets)
-  memory regardless of sample volume.
+  memory regardless of sample volume;
+* a Zipf-KV run reproduces the workload summary and the per-replica KV
+  digests recorded with per-transaction op recording (pinned below).
 """
 
 import hashlib
+import json
 import math
 import os
 import random
@@ -462,3 +465,51 @@ class TestChunkedArrivals:
         assert baseline[1] > 0
         for chunk in (1, 7):
             assert results[chunk] == baseline
+
+
+# ---------------------------------------------------------------------------
+# Zipf-KV end to end: pinned summary and replica digests
+# ---------------------------------------------------------------------------
+#: SHA-256 of ``json.dumps(WorkloadHarness.summary(), sort_keys=True)`` and
+#: the per-replica ``(applied_height, ops_applied, digest)`` of the run
+#: below -- recorded with one explicit KvOp per generated transaction and
+#: two single histogram adds per committed one. Per-tick op recording and
+#: run-wise latency accounting must reproduce them bit for bit.
+KV_SUMMARY_DIGEST = (
+    "06ed7d89dab4f4e9d78ba5bfdd6d8eb9fae26eaded24c66db1f60d194f25d008"
+)
+KV_REPLICAS = {
+    0: (264, 1762, "8822f8339d824c45"),
+    1: (256, 1654, "f0d95cacffb50fd5"),
+    2: (256, 1654, "f0d95cacffb50fd5"),
+    3: (264, 1762, "8822f8339d824c45"),
+    4: (264, 1762, "8822f8339d824c45"),
+    5: (264, 1762, "8822f8339d824c45"),
+    6: (264, 1762, "8822f8339d824c45"),
+}
+
+
+def test_zipf_kv_run_matches_pinned_summary_and_digests(chunk_env):
+    from repro.app.kvstore import OpRegistry, attach_kv_application
+
+    chunk_env(None)
+    spec = digest_spec()
+    config = ProtocolConfig()
+    cluster = Cluster(
+        n=7, mode="kauri", scenario="national", config=config, seed=3,
+        workload_factory=make_workload_factory(spec, config),
+    )
+    registry = OpRegistry()
+    machines = attach_kv_application(cluster, registry)
+    harness = WorkloadHarness(cluster, spec, registry=registry, seed=3)
+    cluster.start()
+    harness.start()
+    cluster.run(duration=8.0)
+    summary = json.dumps(harness.summary(), sort_keys=True)
+    assert hashlib.sha256(summary.encode()).hexdigest() == KV_SUMMARY_DIGEST
+    replicas = {
+        node_id: (machine.applied_height, machine.ops_applied, machine.digest())
+        for node_id, machine in machines.items()
+    }
+    assert replicas == KV_REPLICAS
+    assert len(registry) == ARRIVAL_TXS
